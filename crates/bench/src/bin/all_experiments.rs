@@ -8,7 +8,7 @@ use slice_core::EnsemblePolicy;
 use slice_sim::Series;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
+    let full = slice_bench::cli::flag("--full");
     let t0 = std::time::Instant::now();
 
     // ---------------- Table 2 ----------------

@@ -34,7 +34,7 @@
 //! time-synchronized shards; the report is byte-identical at any S —
 //! crash/recovery injection is shard-aware.
 
-use slice_bench::{maybe_write_json, obs_doc};
+use slice_bench::{cli, maybe_write_json, obs_doc};
 use slice_core::actors::{CoordActor, StorageActor};
 use slice_core::ensemble::{SliceConfig, SliceEnsemble};
 use slice_core::Workload;
@@ -44,19 +44,6 @@ use slice_workloads::BulkIo;
 const CLIENTS: usize = 2;
 /// The storage site the bench crashes.
 const VICTIM: usize = 0;
-
-fn arg_after(flag: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} wants a number"));
-        }
-    }
-    default
-}
 
 fn arg_list(flag: &str, default: &[u64]) -> Vec<u64> {
     let mut args = std::env::args();
@@ -372,11 +359,11 @@ enum HaOut {
 }
 
 fn main() {
-    let mb = arg_after("--mb", 48);
-    let crash_ms = arg_after("--crash-ms", 100);
+    let mb = cli::num("--mb", 48u64);
+    let crash_ms = cli::num("--crash-ms", 100u64);
     let grid_ms = arg_list("--grid-ms", &[50, 150, 400, 800]);
-    let threads = arg_after("--threads", slice_sim::default_threads() as u64) as usize;
-    let shards = arg_after("--shards", 1) as usize;
+    let threads = cli::num("--threads", slice_sim::default_threads());
+    let shards = cli::num("--shards", 1);
     let bytes_per_client = mb * 1024 * 1024;
     let deadline = at_ms(600_000);
 

@@ -24,7 +24,7 @@
 //! Usage: `ec [--mb N] [--threads T] [--shards S] [--json-out]`
 //! (defaults: 24 MiB, T = available parallelism, 1 shard).
 
-use slice_bench::{maybe_write_json, obs_doc};
+use slice_bench::{cli, maybe_write_json, obs_doc};
 use slice_core::actors::{CoordActor, StorageActor};
 use slice_core::ensemble::{SliceConfig, SliceEnsemble};
 use slice_sim::{SimDuration, SimTime};
@@ -34,19 +34,6 @@ use slice_workloads::BulkIo;
 const NODES: usize = 6;
 /// The storage site crashed for the degraded pass.
 const VICTIM: usize = 0;
-
-fn arg_after(flag: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} wants a number"));
-        }
-    }
-    default
-}
 
 fn ms_of(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e6
@@ -232,9 +219,9 @@ fn run_cell(layout: Layout, bytes: u64, shards: usize) -> CellOut {
 }
 
 fn main() {
-    let mb = arg_after("--mb", 24);
-    let threads = arg_after("--threads", slice_sim::default_threads() as u64) as usize;
-    let shards = arg_after("--shards", 1) as usize;
+    let mb = cli::num("--mb", 24u64);
+    let threads = cli::num("--threads", slice_sim::default_threads());
+    let shards = cli::num("--shards", 1);
     let bytes = mb * 1024 * 1024;
 
     let layouts = vec![Layout::Mirror, Layout::Coded(4, 2), Layout::Coded(6, 4)];

@@ -19,46 +19,23 @@
 //! shard-count-invariant, so the output is byte-identical at any S —
 //! CI compares `--shards 1` against `--shards 4` to prove it.
 
+use slice_bench::cli;
 use slice_core::EnsemblePolicy;
 use slice_sim::Series;
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let full = argv.iter().any(|a| a == "--full");
-    let mut files: u64 = if full { 36_000 } else { 3_600 };
-    if let Some(i) = argv.iter().position(|a| a == "--files") {
-        files = argv
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!(
-                    "usage: fig3 [--full | --files N] [--threads T] [--shards S] [--json-out]"
-                );
-                std::process::exit(2);
-            });
-    }
-    let threads = argv
-        .iter()
-        .position(|a| a == "--threads")
-        .map(|i| {
-            argv.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .expect("--threads wants a number")
-        })
-        .unwrap_or_else(slice_sim::default_threads);
-    let shards: usize = argv
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| {
-            argv.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .expect("--shards wants a number")
-        })
-        .unwrap_or(1);
+    let full = cli::flag("--full");
+    let default_files = if full { 36_000 } else { 3_600 };
+    let files: u64 = cli::try_num("--files", default_files).unwrap_or_else(|| {
+        eprintln!("usage: fig3 [--full | --files N] [--threads T] [--shards S] [--json-out]");
+        std::process::exit(2);
+    });
+    let threads = cli::num("--threads", slice_sim::default_threads());
+    let shards: usize = cli::num("--shards", 1);
     // `--fine` doubles the sweep resolution (intermediate process counts
     // and a Slice-3 series) for smoother published curves; the default
     // grid stays the paper's, so existing baselines remain comparable.
-    let fine = argv.iter().any(|a| a == "--fine");
+    let fine = cli::flag("--fine");
     let process_counts: &[usize] = if fine {
         &[1, 2, 3, 4, 6, 8, 12, 16]
     } else {

@@ -15,9 +15,8 @@ use slice_core::EnsemblePolicy;
 use slice_sim::Series;
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let full = argv.iter().any(|a| a == "--full");
-    let fine = argv.iter().any(|a| a == "--fine");
+    let full = slice_bench::cli::flag("--full");
+    let fine = slice_bench::cli::flag("--fine");
     let files: u64 = if full { 36_000 } else { 2_400 };
     let affinities: &[u32] = if fine {
         &[

@@ -8,7 +8,7 @@
 use slice_sim::Series;
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = slice_bench::cli::flag("--quick");
     let loads: &[f64] = if quick {
         &[400.0, 800.0, 1600.0, 3200.0]
     } else {

@@ -32,7 +32,7 @@
 //!   `<name> <value>`; `#` starts a comment; a `wall_s` entry is
 //!   informational only.
 
-use slice_bench::EngineTotals;
+use slice_bench::{cli, EngineTotals};
 use slice_core::EnsemblePolicy;
 use std::time::Instant;
 
@@ -205,7 +205,7 @@ fn live_state_phase(bytes_per_client: u64, shards: usize) -> (u64, u64, u64, u64
 
 /// Window-efficiency probe: a small mirrored bulk run serially and again
 /// across `shards`. The deterministic counters must match; the window
-/// counts must show the allocation-free window machinery at work — the
+/// counts must show the window machinery at work — the
 /// serial engine covers each driver step with one window, and the sharded
 /// engine's adaptive widening keeps windows well below the conservative
 /// one-lookahead-per-window count (which would exceed the event count
@@ -314,39 +314,17 @@ fn check_counters(text: &str, measured: &[(&str, u64)], untar_wall_s: f64) -> Ve
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let full = args.iter().any(|a| a == "--full");
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .expect("--threads wants a number")
-        })
-        .unwrap_or_else(slice_sim::default_threads);
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| {
-            args.get(i + 1)
-                .and_then(|v| v.parse().ok())
-                .expect("--shards wants a number")
-        })
-        .unwrap_or_else(|| slice_sim::default_threads().min(4));
-    let check_ref = args
-        .iter()
-        .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).expect("--check needs a file").clone());
+    let full = cli::flag("--full");
+    let threads = cli::num("--threads", slice_sim::default_threads());
+    let shards = cli::num("--shards", slice_sim::default_threads().min(4));
+    let check_ref = cli::path("--check");
     let files: u64 = if full { 36_000 } else { 3_600 };
     let bulk_bytes: u64 = if full { 256 << 20 } else { 32 << 20 };
 
     slice_nfsproto::bytes::reset_clone_stats();
-    slice_sim::pool::reset_alloc_stats();
     let untar = untar_phase(files, threads);
     let bulk = bulk_phase(bulk_bytes);
     let (shallow, deep, deep_bytes) = slice_nfsproto::bytes::clone_stats();
-    let (pool_hits, pool_misses, recycled_bytes) = slice_sim::pool::alloc_stats();
     let (map_entries, dirty_ranges, soft_entries, suspected_sites, live_peak) =
         live_state_phase(bulk_bytes / 4, 1);
     let scaling = (shards > 1).then(|| shard_scaling_phase(files, shards));
@@ -372,11 +350,6 @@ fn main() {
         );
     }
     println!("  payload: {shallow} shallow clones, {deep} deep copies ({deep_bytes} bytes copied)");
-    println!(
-        "  alloc: {pool_hits} pool hits, {pool_misses} pool misses ({recycled_bytes} bytes \
-         recycled, {} held)",
-        slice_sim::pool::held_bytes()
-    );
     println!(
         "  windows: bulk serial {} ({} events), at {} shards {} windows / {} barrier rounds",
         windows.0.windows,
@@ -404,10 +377,6 @@ fn main() {
         reg.set("perf.payload.shallow_clones", shallow);
         reg.set("perf.payload.deep_copies", deep);
         reg.set("perf.payload.deep_copy_bytes", deep_bytes);
-        reg.set("perf.alloc.pool_hits", pool_hits);
-        reg.set("perf.alloc.pool_misses", pool_misses);
-        reg.set("perf.alloc.recycled_bytes", recycled_bytes);
-        reg.set("perf.alloc.pool_held_bytes", slice_sim::pool::held_bytes());
         reg.set("perf.shard.windows", windows.1.windows);
         reg.set("perf.shard.barrier_rounds", windows.1.barrier_rounds);
         reg.set_gauge(
@@ -449,9 +418,6 @@ fn main() {
             ("payload.shallow_clones", shallow),
             ("payload.deep_copies", deep),
             ("payload.deep_copy_bytes", deep_bytes),
-            ("alloc.pool_hits", pool_hits),
-            ("alloc.pool_misses", pool_misses),
-            ("alloc.recycled_bytes", recycled_bytes),
             ("shard.windows", windows.1.windows),
             ("shard.barrier_rounds", windows.1.barrier_rounds),
         ];

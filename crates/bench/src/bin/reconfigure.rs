@@ -30,7 +30,7 @@
 //! [--json-out]` (defaults: 24 MiB per client, 3 hot read passes,
 //! threads = available parallelism, 1 shard).
 
-use slice_bench::{maybe_write_json, obs_doc};
+use slice_bench::{cli, maybe_write_json, obs_doc};
 use slice_core::actors::CoordActor;
 use slice_core::ensemble::{SliceConfig, SliceEnsemble};
 use slice_core::Workload;
@@ -46,19 +46,6 @@ const ACTIVE: usize = 4;
 const JOINER: usize = 4;
 /// The founding site that is drained and retired.
 const RETIREE: usize = 1;
-
-fn arg_after(flag: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{flag} wants a number"));
-        }
-    }
-    default
-}
 
 fn ms_of(t: SimTime) -> f64 {
     t.as_nanos() as f64 / 1e6
@@ -332,10 +319,10 @@ enum Out {
 }
 
 fn main() {
-    let mb = arg_after("--mb", 24);
-    let reads = arg_after("--reads", 3);
-    let threads = arg_after("--threads", slice_sim::default_threads() as u64) as usize;
-    let shards = arg_after("--shards", 1) as usize;
+    let mb = cli::num("--mb", 24u64);
+    let reads = cli::num("--reads", 3u64);
+    let threads = cli::num("--threads", slice_sim::default_threads());
+    let shards = cli::num("--shards", 1);
     let bytes_per_client = mb * 1024 * 1024;
     let deadline = SimTime::ZERO + SimDuration::from_secs(600);
 

@@ -6,7 +6,7 @@
 //! Usage: `table2 [--quick]` (quick: 256 MB files instead of 1.25 GB).
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = slice_bench::cli::flag("--quick");
     let bytes: u64 = if quick { 256 << 20 } else { (125 << 20) * 10 };
     let sat_clients = 16;
     println!(

@@ -9,6 +9,43 @@ use slice_sim::{Series, SimDuration, SimTime};
 use slice_uproxy::{PhaseStats, ProxyConfig, Uproxy};
 use slice_workloads::{BulkIo, SpecSfs, SpecSfsConfig, Untar};
 
+/// Command-line lookups shared by the bench binaries. Each scans the
+/// arguments after the program name; the first occurrence of a flag wins.
+pub mod cli {
+    /// The argument after `name`: `None` when `name` is absent,
+    /// `Some(None)` when it is the last argument.
+    fn value(name: &str) -> Option<Option<String>> {
+        let mut args = std::env::args().skip(1);
+        args.by_ref().find(|a| a == name)?;
+        Some(args.next())
+    }
+
+    /// True when the bare flag `name` was passed.
+    pub fn flag(name: &str) -> bool {
+        std::env::args().skip(1).any(|a| a == name)
+    }
+
+    /// The number after `name`, or `default` when `name` is absent;
+    /// `None` when the value is missing or does not parse.
+    pub fn try_num<T: std::str::FromStr>(name: &str, default: T) -> Option<T> {
+        match value(name) {
+            None => Some(default),
+            Some(v) => v.and_then(|v| v.parse().ok()),
+        }
+    }
+
+    /// [`try_num`], panicking on a missing or malformed value.
+    pub fn num<T: std::str::FromStr>(name: &str, default: T) -> T {
+        try_num(name, default).unwrap_or_else(|| panic!("{name} wants a number"))
+    }
+
+    /// The path after `name`, if `name` was passed; panics when the
+    /// value is missing.
+    pub fn path(name: &str) -> Option<String> {
+        value(name).map(|v| v.unwrap_or_else(|| panic!("{name} wants a path")))
+    }
+}
+
 fn deadline_secs(s: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_secs(s)
 }
@@ -532,7 +569,7 @@ pub fn repo_root() -> std::path::PathBuf {
 /// snapshot files are gitignored run artifacts consumed by plotting and
 /// regression tooling.
 pub fn maybe_write_json(name: &str, json: &str) {
-    if !std::env::args().any(|a| a == "--json-out") {
+    if !cli::flag("--json-out") {
         return;
     }
     write_json(name, json);

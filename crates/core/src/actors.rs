@@ -208,11 +208,6 @@ impl Actor<Wire> for StorageActor {
                 if let Some(node) = self.router.try_node_of(pkt.src) {
                     self.deferred.send_at(ctx, done, node, Wire::Udp(out));
                 }
-                // The decoded WRITE payload is dead once applied; recycle
-                // it rather than dropping it on the allocator.
-                if let NfsRequest::Write { data, .. } = req {
-                    slice_sim::pool::give(data);
-                }
             }
             Wire::Ctl(ctl) => {
                 if self.charge_cpu {

@@ -461,16 +461,10 @@ impl ClientActor {
                 .complete(ctx.now(), xid, rec.retries, &reply);
         }
         let tag = rec.tag;
-        // The completed RPC's stashed WRITE data and the reply's READ
-        // payload are both dead now; hand them back to the recycler
-        // instead of dropping them on the allocator.
-        if let NfsRequest::Write { data, .. } = rec.request {
-            slice_sim::pool::give(data);
-        }
+        // Free the stashed request (a WRITE's payload) before the
+        // workload allocates its next call; this lowers peak RSS.
+        drop(rec);
         self.with_workload(ctx, |w, io| w.on_reply(io, tag, &reply));
-        if let slice_nfsproto::ReplyBody::Read { data, .. } = reply.body {
-            slice_sim::pool::give(data);
-        }
     }
 }
 

@@ -148,14 +148,11 @@ impl ByteBuf {
     /// Mutable access to the window, copying first only when the backing
     /// allocation is shared. The hot cases — a packet fresh off the wire
     /// with a single owner, windowed or not — mutate in place; only a
-    /// buffer another holder can still observe pays the copy (into a
-    /// pool-recycled backing store).
+    /// buffer another holder can still observe pays the copy.
     pub fn make_mut(&mut self) -> &mut [u8] {
         if Arc::get_mut(&mut self.data).is_none() {
             count_deep(self.len as u64);
-            let mut copy = slice_sim::pool::take(self.len);
-            copy.extend_from_slice(&self.data[self.off..self.off + self.len]);
-            self.data = Arc::new(copy);
+            self.data = Arc::new(self.data[self.off..self.off + self.len].to_vec());
             self.off = 0;
         }
         // The arc is unique; mutate the window in place.
@@ -201,25 +198,7 @@ impl From<Vec<u8>> for ByteBuf {
 
 impl From<&[u8]> for ByteBuf {
     fn from(s: &[u8]) -> Self {
-        let mut v = slice_sim::pool::take(s.len());
-        v.extend_from_slice(s);
-        ByteBuf::from_vec(v)
-    }
-}
-
-impl Drop for ByteBuf {
-    /// Recycles the backing store through [`slice_sim::pool`] once the
-    /// last holder releases it. `Arc::get_mut` succeeds only when this
-    /// is the sole reference (no other clone, slice window, or stashed
-    /// retransmission copy exists), so a recycled buffer can never alias
-    /// a live reader — the pool receives the `Vec` only after every
-    /// refcount but ours has dropped.
-    fn drop(&mut self) {
-        if let Some(v) = Arc::get_mut(&mut self.data) {
-            if v.capacity() > 0 {
-                slice_sim::pool::give(std::mem::take(v));
-            }
-        }
+        ByteBuf::from_vec(s.to_vec())
     }
 }
 
@@ -307,56 +286,6 @@ mod tests {
         assert_eq!(deep_after, deep_before + 1);
         assert_eq!(bytes_after, bytes_before + 16);
         assert_eq!(a[4], 3, "parent untouched by COW");
-    }
-
-    /// Serializes tests that depend on (or toggle) the process-global
-    /// pool-enabled flag; everything else is thread-local and safe.
-    fn pool_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn recycled_buffer_never_aliases_live_reader() {
-        let _g = pool_lock();
-        // Pool-allocated backing store (class-rounded capacity), so it
-        // round-trips through the recycler's class it came from.
-        let mut v = slice_sim::pool::take(1000);
-        v.resize(1000, 0xAA);
-        let ptr = v.as_ptr();
-        let a = ByteBuf::from_vec(v);
-        let b = a.clone();
-        // `a` drops while `b` still reads the bytes: the backing store
-        // must NOT re-enter circulation.
-        drop(a);
-        let fresh = slice_sim::pool::take(1000);
-        assert_ne!(
-            fresh.as_ptr(),
-            ptr,
-            "backing store reissued while a reader is live"
-        );
-        assert!(b.iter().all(|&x| x == 0xAA), "live reader sees its bytes");
-        drop(fresh);
-        // Last holder gone: now (and only now) the buffer is reusable.
-        drop(b);
-        let reused = slice_sim::pool::take(1000);
-        assert_eq!(reused.as_ptr(), ptr, "sole-owner drop must recycle");
-        assert!(
-            reused.is_empty(),
-            "recycled buffer comes back poisoned-empty"
-        );
-    }
-
-    #[test]
-    fn pooling_off_still_correct() {
-        let _g = pool_lock();
-        slice_sim::pool::set_enabled(false);
-        let a = ByteBuf::from_vec(vec![5u8; 256]);
-        let b = a.clone();
-        drop(a);
-        assert_eq!(&b[..], &[5u8; 256][..]);
-        drop(b);
-        slice_sim::pool::set_enabled(true);
     }
 
     #[test]

@@ -530,21 +530,9 @@ fn get_opt_attr(dec: &mut XdrDecoder<'_>) -> Result<Option<Fattr3>, XdrError> {
     }
 }
 
-/// Copies an opaque field out of the wire buffer into a pool-recycled
-/// `Vec`, so decode-side data extraction reuses freed payload buffers
-/// instead of hitting the allocator per packet.
-fn pooled_copy(s: &[u8]) -> Vec<u8> {
-    let mut v = slice_sim::pool::take(s.len());
-    v.extend_from_slice(s);
-    v
-}
-
-/// Encodes a complete RPC call packet payload for `req`. The encoder
-/// writes into a pool-recycled buffer; the resulting `Vec` typically
-/// becomes a packet payload whose `ByteBuf` returns it to the pool when
-/// the last reference drops.
+/// Encodes a complete RPC call packet payload for `req`.
 pub fn encode_call(xid: u32, cred: &AuthUnix, req: &NfsRequest) -> Vec<u8> {
-    let mut e = XdrEncoder::from_vec(slice_sim::pool::take(256));
+    let mut e = XdrEncoder::with_capacity(256);
     encode_call_header(&mut e, xid, req.proc() as u32, cred);
     use NfsRequest::*;
     match req {
@@ -699,7 +687,7 @@ pub fn decode_call_args(d: &mut XdrDecoder<'_>, proc: NfsProc) -> Result<NfsRequ
             let offset = d.get_u64()?;
             let count = d.get_u32()?;
             let stable = StableHow::from_u32(d.get_u32()?)?;
-            let data = pooled_copy(d.get_opaque()?);
+            let data = d.get_opaque()?.to_vec();
             if data.len() != count as usize {
                 return Err(XdrError::InvalidValue {
                     what: "write count",
@@ -780,10 +768,9 @@ pub fn decode_call_args(d: &mut XdrDecoder<'_>, proc: NfsProc) -> Result<NfsRequ
     })
 }
 
-/// Encodes a complete RPC reply packet payload (into a pool-recycled
-/// buffer, like [`encode_call`]).
+/// Encodes a complete RPC reply packet payload.
 pub fn encode_reply(xid: u32, reply: &NfsReply) -> Vec<u8> {
-    let mut e = XdrEncoder::from_vec(slice_sim::pool::take(256));
+    let mut e = XdrEncoder::with_capacity(256);
     encode_reply_header(&mut e, xid);
     debug_assert_eq!(e.len(), REPLY_STATUS_OFFSET);
     e.put_u32(reply.status as u32);
@@ -902,7 +889,7 @@ pub fn decode_reply(payload: &[u8], proc: NfsProc) -> Result<(u32, NfsReply), Xd
             P::Read => {
                 let count = d.get_u32()?;
                 let eof = d.get_bool()?;
-                let data = pooled_copy(d.get_opaque()?);
+                let data = d.get_opaque()?.to_vec();
                 if data.len() != count as usize {
                     return Err(XdrError::InvalidValue {
                         what: "read count",

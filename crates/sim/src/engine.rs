@@ -858,9 +858,6 @@ pub(crate) struct Shard<M> {
     core: ShardCore<M>,
     /// Full-length: `actors[i]` is `Some` iff node `i` lives here.
     actors: Vec<Option<Box<dyn Actor<M>>>>,
-    /// Reusable buffer for same-timestamp dispatch runs; draining a run
-    /// in one pass avoids re-descending the heap between every pop.
-    batch: Vec<HeapKey>,
     /// Reusable output buffer loaned to [`Ctx`] per handler invocation,
     /// so dispatch does not allocate a fresh `Vec` per event.
     scratch_outputs: Vec<Output<M>>,
@@ -871,7 +868,6 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
         Shard {
             core: ShardCore::new(id, shards, net),
             actors: Vec::new(),
-            batch: Vec::new(),
             scratch_outputs: Vec::new(),
         }
     }
@@ -901,45 +897,17 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
         // from an earlier window must not carry forward.
         self.core.window_cap = SimTime::from_nanos(u64::MAX);
         let mut n = 0;
-        let mut batch = std::mem::take(&mut self.batch);
-        loop {
-            let eff = bound.min(self.core.window_cap);
-            let t = match self.core.events.peek() {
-                Some(k) if k.time < eff => k.time,
-                _ => break,
-            };
-            // Drain the whole same-timestamp run in one pass. Pops at
-            // equal time are the common case under synchronized clients,
-            // and batching keeps the heap descent per run, not per event.
-            batch.clear();
-            while let Some(k) = self.core.events.peek() {
-                if k.time != t {
-                    break;
-                }
-                batch.push(*k);
-                self.core.events.pop();
+        // Heap pops come out in exact (time, src, seq) order, including
+        // same-instant events a handler schedules mid-window.
+        while let Some(k) = self.core.events.peek() {
+            if k.time >= bound.min(self.core.window_cap) {
+                break;
             }
-            for &entry in &batch {
-                // Handlers can schedule same-timestamp events that order
-                // (by src, seq) before a later batch entry; the serial
-                // loop would pop those first, so merge them in to keep
-                // dispatch order exactly identical.
-                loop {
-                    let top = match self.core.events.peek() {
-                        Some(k) if k.time == t && *k < entry => *k,
-                        _ => break,
-                    };
-                    self.core.events.pop();
-                    if self.dispatch(top) {
-                        n += 1;
-                    }
-                }
-                if self.dispatch(entry) {
-                    n += 1;
-                }
+            let key = self.core.events.pop().expect("peeked");
+            if self.dispatch(key) {
+                n += 1;
             }
         }
-        self.batch = batch;
         n
     }
 
@@ -955,11 +923,8 @@ impl<M: MessageSize + Clone + Send + 'static> Shard<M> {
             _ => unreachable!("heap key points at unscheduled slot"),
         };
         if cancelled {
-            // The key may sit in the dispatch batch (outside the heap)
-            // when its cancel lands; a compaction in between walks only
-            // the heap and zeroes the counter, so saturate rather than
-            // underflow.
-            self.core.cancelled_in_heap = self.core.cancelled_in_heap.saturating_sub(1);
+            debug_assert!(self.core.cancelled_in_heap > 0, "cancelled count underflow");
+            self.core.cancelled_in_heap -= 1;
             return false;
         }
         debug_assert!(key.time >= self.core.now, "time went backwards");
@@ -1999,6 +1964,78 @@ mod tests {
         assert_eq!(r.fired, 1, "kept timer fires");
         assert_eq!(r.cancelled_fires, 0, "cancelled timer must not fire");
         assert_eq!(eng.live_events(), 0, "queue drained");
+
+        // Timers already in the heap, cancelled by a handler running at
+        // the same instant. Keys at one instant order by source node, so
+        // every keeper handler on node 0 runs while node 1's victims are
+        // still queued behind it; enough cancels pile up to compact the
+        // heap mid-instant, and the rest surface as cancelled pops.
+        const PAIRS: u64 = 200;
+        type Victims = std::sync::Arc<std::sync::Mutex<Vec<TimerId>>>;
+        struct SameInstant {
+            keeper: bool,
+            victims: Victims,
+            kept: u64,
+            victim_fires: u64,
+            compactions: u64,
+        }
+        impl Actor<Vec<u8>> for SameInstant {
+            fn on_message(&mut self, _c: &mut Ctx<'_, Vec<u8>>, _f: NodeId, _m: Vec<u8>) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Vec<u8>>, tag: u64) {
+                let due = SimDuration::from_micros(5);
+                if tag == START_TAG {
+                    let ids: Vec<TimerId> = (0..PAIRS).map(|i| ctx.set_timer(due, i)).collect();
+                    if !self.keeper {
+                        *self.victims.lock().unwrap() = ids;
+                    }
+                } else if self.keeper {
+                    self.kept += 1;
+                    let victim = self.victims.lock().unwrap()[tag as usize];
+                    let before = ctx.core.cancelled_in_heap;
+                    ctx.cancel_timer(victim);
+                    if ctx.core.cancelled_in_heap != before + 1 {
+                        self.compactions += 1;
+                    }
+                } else {
+                    self.victim_fires += 1;
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let victims = Victims::default();
+        let mut eng = Engine::new(net(), 1);
+        let [keeper, holder] = [true, false].map(|keeper| {
+            eng.add_node(
+                if keeper { "keeper" } else { "victims" },
+                Box::new(SameInstant {
+                    keeper,
+                    victims: victims.clone(),
+                    kept: 0,
+                    victim_fires: 0,
+                    compactions: 0,
+                }),
+            )
+        });
+        eng.kick(keeper);
+        eng.kick(holder);
+        eng.run_until_idle(10_000);
+        let k: &SameInstant = eng.actor(keeper);
+        assert_eq!(k.kept, PAIRS, "every keeper fires");
+        assert!(k.compactions > 0, "cancels never triggered a compaction");
+        let v: &SameInstant = eng.actor(holder);
+        assert_eq!(v.victim_fires, 0, "cancelled timer must not fire");
+        assert_eq!(eng.shards[0].core.cancelled_in_heap, 0, "count exact");
+        assert_eq!(eng.live_events(), 0, "queue drained");
+        assert_eq!(
+            eng.event_slab_free(),
+            eng.event_slab_slots(),
+            "all slots recycled at quiescence"
+        );
     }
 
     #[test]

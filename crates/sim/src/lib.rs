@@ -25,7 +25,6 @@ pub mod engine;
 pub mod fxmap;
 pub mod net;
 pub mod par;
-pub mod pool;
 pub mod rng;
 pub(crate) mod shard;
 pub mod stats;

@@ -272,41 +272,10 @@ enum MergeState {
     },
 }
 
-/// Interner for the 24-byte file handles stashed per pending request:
-/// in-flight requests overwhelmingly target a small working set of files,
-/// so each distinct handle is stored once and pending records carry a
-/// 4-byte index.
-#[derive(Debug, Default)]
-struct FhInterner {
-    ids: FxHashMap<Fhandle, u32>,
-    handles: Vec<Fhandle>,
-}
-
-impl FhInterner {
-    fn intern(&mut self, fh: &Fhandle) -> u32 {
-        if let Some(&id) = self.ids.get(fh) {
-            return id;
-        }
-        let id = self.handles.len() as u32;
-        self.handles.push(*fh);
-        self.ids.insert(*fh, id);
-        id
-    }
-
-    fn get(&self, id: u32) -> Fhandle {
-        self.handles[id as usize]
-    }
-
-    fn len(&self) -> usize {
-        self.handles.len()
-    }
-}
-
 #[derive(Debug, Clone)]
 struct PendingReq {
     proc: NfsProc,
-    /// Interned handle id (see [`FhInterner`]), not the handle itself.
-    fh: Option<u32>,
+    fh: Option<Fhandle>,
     offset: u64,
     len: u32,
     class: Class,
@@ -358,8 +327,6 @@ pub struct Uproxy {
     dir_table: RoutingTable,
     sf_table: RoutingTable,
     pending: FxHashMap<u32, PendingReq>,
-    /// Interned file handles referenced by pending records.
-    fhs: FhInterner,
     attrs: AttrCache,
     /// Cached block-map fragments: (file, block) -> replica sites.
     map_cache: FxHashMap<(u64, u64), Vec<u32>>,
@@ -426,7 +393,6 @@ impl Uproxy {
             dir_table: RoutingTable::balanced(64, dirs),
             sf_table: RoutingTable::balanced(64, sfs),
             pending: FxHashMap::default(),
-            fhs: FhInterner::default(),
             attrs: AttrCache::new(cfg.attr_cache_entries),
             map_cache: FxHashMap::default(),
             warming_cache: FxHashMap::default(),
@@ -547,7 +513,6 @@ impl Uproxy {
         set(reg, "ec.reconstructions", self.ec_reconstructions);
         set(reg, "ec.reconstructed_bytes", self.ec_reconstructed_bytes);
         set(reg, "soft_state.entries", self.soft_state_entries() as u64);
-        set(reg, "soft_state.interned_fhs", self.fhs.len() as u64);
         set(reg, "reconf.map_epoch", self.map_epoch);
         set(
             reg,
@@ -951,12 +916,11 @@ impl Uproxy {
         let payload = encode_call(xid, &self.cred, &req);
         let dest = self.dir_dest(entry.fh.home_site());
         let pkt = Packet::new(self.cfg.client_addr, dest, payload);
-        let fhid = self.fhs.intern(&entry.fh);
         self.pending.insert(
             xid,
             PendingReq {
                 proc: NfsProc::Setattr,
-                fh: Some(fhid),
+                fh: Some(entry.fh),
                 offset: 0,
                 len: 0,
                 class: Class::Dir,
@@ -1097,12 +1061,11 @@ impl Uproxy {
                 out.push(ProxyOut::Net(low_pkt));
                 out.push(ProxyOut::Net(high_pkt));
                 let t4 = self.phase_start();
-                let fhid = self.fhs.intern(fh);
                 self.pending.insert(
                     xid,
                     PendingReq {
                         proc: NfsProc::Read,
-                        fh: Some(fhid),
+                        fh: Some(*fh),
                         offset: *offset,
                         len: *count,
                         class: Class::Storage,
@@ -1177,12 +1140,11 @@ impl Uproxy {
                 self.phases.rewrite_ns += Self::elapsed_ns(t3);
                 self.initiated += 1 + sites.len() as u64;
                 let t4 = self.phase_start();
-                let fhid = self.fhs.intern(fh);
                 self.pending.insert(
                     xid,
                     PendingReq {
                         proc: NfsProc::Write,
-                        fh: Some(fhid),
+                        fh: Some(*fh),
                         offset: *offset,
                         len: data.len() as u32,
                         class: Class::Storage,
@@ -1222,12 +1184,11 @@ impl Uproxy {
                 p.rewrite_dst(self.cfg.storage_sites[site as usize]);
                 self.phases.rewrite_ns += Self::elapsed_ns(t3);
                 let t4 = self.phase_start();
-                let fhid = self.fhs.intern(fh);
                 self.pending.insert(
                     xid,
                     PendingReq {
                         proc: NfsProc::Read,
-                        fh: Some(fhid),
+                        fh: Some(*fh),
                         offset: *offset,
                         len: *count,
                         class: Class::Storage,
@@ -1279,12 +1240,11 @@ impl Uproxy {
                 }
                 self.phases.rewrite_ns += Self::elapsed_ns(t3);
                 let t4 = self.phase_start();
-                let fhid = self.fhs.intern(fh);
                 self.pending.insert(
                     xid,
                     PendingReq {
                         proc: NfsProc::Write,
-                        fh: Some(fhid),
+                        fh: Some(*fh),
                         offset: *offset,
                         len: data.len() as u32,
                         class: Class::Storage,
@@ -1351,12 +1311,11 @@ impl Uproxy {
                 p.rewrite_dst(dest);
                 self.phases.rewrite_ns += Self::elapsed_ns(t3);
                 let t4 = self.phase_start();
-                let fhid = fh.map(|f| self.fhs.intern(&f));
                 self.pending.insert(
                     xid,
                     PendingReq {
                         proc: other.proc(),
-                        fh: fhid,
+                        fh,
                         offset,
                         len,
                         class,
@@ -1498,12 +1457,11 @@ impl Uproxy {
             out.push(ProxyOut::Net(p));
             n += 1;
         }
-        let fhid = self.fhs.intern(&fh);
         self.pending.insert(
             xid,
             PendingReq {
                 proc: NfsProc::Commit,
-                fh: Some(fhid),
+                fh: Some(fh),
                 offset: 0,
                 len: 0,
                 class: Class::Storage,
@@ -1672,7 +1630,6 @@ impl Uproxy {
             return out; // merge: forward only the final reply
         }
         let rec = self.pending.remove(&xid).expect("checked pending");
-        let rec_fh = rec.fh.map(|id| self.fhs.get(id));
         self.degrade_ok.remove(&xid);
         // A JUKEBOX bounce from a directory server marks this µproxy's
         // routing table stale: ask the host to refresh it and absorb the
@@ -1691,7 +1648,7 @@ impl Uproxy {
         let mut evicted = Vec::new();
         // The file whose attribute block rides in this reply (for lookup
         // and create replies that is the *child*, not the request target).
-        let mut attr_file = rec_fh;
+        let mut attr_file = rec.fh;
         if let Some(reply) = &reply {
             if reply.status.is_ok() {
                 match rec.class {
@@ -1702,7 +1659,7 @@ impl Uproxy {
                             let fh = match &reply.body {
                                 slice_nfsproto::ReplyBody::Lookup { fh, .. } => Some(*fh),
                                 slice_nfsproto::ReplyBody::Create { fh: Some(fh) } => Some(*fh),
-                                _ => rec_fh,
+                                _ => rec.fh,
                             };
                             if let Some(fh) = fh {
                                 attr_file = Some(fh);
@@ -1718,7 +1675,7 @@ impl Uproxy {
                         }
                     }
                     Class::Storage | Class::SmallFile => {
-                        if let Some(fh) = rec_fh {
+                        if let Some(fh) = rec.fh {
                             let t = Self::nfs_time(now);
                             match rec.proc {
                                 NfsProc::Read => {
@@ -1772,7 +1729,7 @@ impl Uproxy {
         }
         // Finalize split requests by re-initiating a merged reply.
         if let Some(merge) = &rec.merge {
-            if let (Some(reply), Some(fh)) = (&reply, rec_fh) {
+            if let (Some(reply), Some(fh)) = (&reply, rec.fh) {
                 let t3 = self.phase_start();
                 let mut merged = reply.clone();
                 if let Some(attr) = self.attrs.get(fh.file_id()) {
@@ -1824,7 +1781,7 @@ impl Uproxy {
         // zero-extended here, and a read past EOF is truncated. This is a
         // reply the µproxy re-initiates rather than rewrites in place.
         if rec.proc == NfsProc::Read {
-            if let (Some(reply), Some(fh)) = (&reply, rec_fh) {
+            if let (Some(reply), Some(fh)) = (&reply, rec.fh) {
                 if reply.status.is_ok() {
                     if let (Some(attr), slice_nfsproto::ReplyBody::Read { data, .. }) =
                         (self.attrs.get(fh.file_id()), &reply.body)

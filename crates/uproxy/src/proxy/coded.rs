@@ -249,12 +249,11 @@ impl Uproxy {
             NfsRequest::Write { offset, data, .. } => (NfsProc::Write, *offset, data.len() as u32),
             _ => unreachable!("coded legs are reads and writes"),
         };
-        let fhid = self.fhs.intern(&fh);
         self.pending.insert(
             xid,
             PendingReq {
                 proc,
-                fh: Some(fhid),
+                fh: Some(fh),
                 offset,
                 len,
                 class: Class::Storage,
@@ -289,12 +288,11 @@ impl Uproxy {
             NfsRequest::Write { offset, data, .. } => (NfsProc::Write, *offset, data.len() as u32),
             _ => unreachable!("sf legs are reads and writes"),
         };
-        let fhid = self.fhs.intern(&fh);
         self.pending.insert(
             xid,
             PendingReq {
                 proc,
-                fh: Some(fhid),
+                fh: Some(fh),
                 offset,
                 len,
                 class: Class::SmallFile,

@@ -110,14 +110,6 @@ impl XdrEncoder {
         }
     }
 
-    /// Creates an encoder writing into a caller-supplied buffer (cleared
-    /// first), so callers with a buffer recycler can avoid a fresh heap
-    /// allocation per encode.
-    pub fn from_vec(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        XdrEncoder { buf }
-    }
-
     /// Bytes written so far.
     #[inline]
     pub fn len(&self) -> usize {

@@ -137,6 +137,39 @@ fn registry_folds_component_stats() {
     assert!(h.max() > 0);
 }
 
+/// Every WAL's `(appends, batches, bytes)` lands in the registry under
+/// its own name, for the directory servers and the coordinators alike.
+#[test]
+fn wal_counters_match_wal_stats() {
+    use slice::core::actors::{CoordActor, DirActor};
+    let mut ens = run_quickstart(11);
+    ens.collect_obs();
+    let reg = &ens.engine.obs().registry;
+    let check = |p: String, (appends, batches, bytes): (u64, u64, u64)| {
+        assert_eq!(reg.counter(&format!("{p}.wal.appends")), appends, "{p}");
+        assert_eq!(reg.counter(&format!("{p}.wal.batches")), batches, "{p}");
+        assert_eq!(reg.counter(&format!("{p}.wal.bytes")), bytes, "{p}");
+        // Distinct nonzero values, so a swapped label cannot pass.
+        assert!(
+            batches > 0 && appends >= batches && bytes > appends,
+            "{p}: {appends}/{batches}/{bytes}"
+        );
+    };
+    assert!(!ens.dirs.is_empty() && !ens.coords.is_empty());
+    for (i, &d) in ens.dirs.iter().enumerate() {
+        check(
+            format!("dirsvc.{i}"),
+            ens.engine.actor::<DirActor>(d).server.wal_stats(),
+        );
+    }
+    for (i, &c) in ens.coords.iter().enumerate() {
+        check(
+            format!("coord.{i}"),
+            ens.engine.actor::<CoordActor>(c).coord.wal_stats(),
+        );
+    }
+}
+
 #[test]
 fn trace_records_packets_and_ops() {
     let ens = run_quickstart(5);
