@@ -64,10 +64,6 @@ impl SiteState {
     }
 }
 
-/// `origin` value in [`IntentKind::Migration`] for migrations not tied to
-/// a drain (replica widening, join rebalance).
-const NO_ORIGIN: u32 = u32::MAX;
-
 /// Placement policy recorded per file in the coordinator's maps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
@@ -122,9 +118,9 @@ pub enum IntentKind {
         /// New size.
         size: u64,
     },
-    /// A mirrored write completed at reduced redundancy: the participant
-    /// site missed `[offset, offset+len)` of `obj` and must be
-    /// resynchronized from `sources` before it may serve reads again.
+    /// A copy owed to the participant site: it lacks `[offset, offset+len)`
+    /// of `obj` (see [`CopyCause`]) and must be resynchronized from
+    /// `sources` before it may serve reads of those bytes.
     DirtyRange {
         /// Object id.
         obj: u64,
@@ -132,24 +128,10 @@ pub enum IntentKind {
         offset: u64,
         /// Byte length.
         len: u64,
-        /// Live replica sites holding the bytes.
+        /// Sites holding the bytes (replicas, or the stripe's shards).
         sources: Vec<u32>,
-    },
-    /// A reconfiguration copy: like [`IntentKind::DirtyRange`] but created
-    /// by a planned migration (widening, join rebalance, drain) rather
-    /// than a degraded write. `origin` names the draining site whose
-    /// retirement waits on this range ([`NO_ORIGIN`] otherwise).
-    Migration {
-        /// Object id.
-        obj: u64,
-        /// Byte offset.
-        offset: u64,
-        /// Byte length.
-        len: u64,
-        /// Replica sites holding the bytes.
-        sources: Vec<u32>,
-        /// Draining site this migration empties, or [`NO_ORIGIN`].
-        origin: u32,
+        /// Why the copy is owed.
+        cause: CopyCause,
     },
     /// A block-map entry pinned by a migration, overriding the
     /// deterministic assignment (widened or drained entries are no longer
@@ -172,6 +154,20 @@ pub enum IntentKind {
         state: u8,
         /// Mapped objects held at drain initiation (empty otherwise).
         objs: Vec<u64>,
+    },
+}
+
+/// Why a [`IntentKind::DirtyRange`] is owed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CopyCause {
+    /// A degraded write missed the site, or a coded truncate left its
+    /// parity stale.
+    Repair,
+    /// A planned migration (widening, join rebalance, drain) moves a
+    /// replica onto the site.
+    Migration {
+        /// The draining site whose retirement waits on this range.
+        origin: Option<u32>,
     },
 }
 
@@ -240,7 +236,7 @@ const RESYNC_RETRY: SimDuration = SimDuration::from_secs(2);
 /// forever.
 const RESYNC_MAX_ATTEMPTS: u32 = 30;
 
-/// One range a down site missed, queued for copy-back.
+/// One copy owed to a site, queued on its dirty log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirtyRange {
     /// WAL record id (completion records reference it).
@@ -251,37 +247,91 @@ pub struct DirtyRange {
     pub offset: u64,
     /// Byte length.
     pub len: u64,
-    /// Live replica sites holding the bytes.
+    /// Sites holding the bytes (replicas, or the stripe's shards).
     pub sources: Vec<u32>,
+    /// Why the copy is owed.
+    pub cause: CopyCause,
 }
 
-/// An in-flight coded rebuild: k survivor shard windows are gathered,
-/// decoded, and re-encoded into the recovering site's shard.
+impl DirtyRange {
+    /// The record kind that logs this range.
+    fn kind(&self) -> IntentKind {
+        IntentKind::DirtyRange {
+            obj: self.obj,
+            offset: self.offset,
+            len: self.len,
+            sources: self.sources.clone(),
+            cause: self.cause,
+        }
+    }
+}
+
+/// One copy job's source side: it gathers `need` source windows (one
+/// from a mirror, k from a coded stripe) out of a list fixed when the
+/// range is planned, then turns them into the bytes the target applies.
 #[derive(Debug, Clone)]
-struct ShardRebuild {
+struct Gather {
     range: DirtyRange,
-    /// Source legs `(site, shard index, object offset)` — k of them.
-    legs: Vec<(u32, u32, u64)>,
-    /// Windows gathered so far, keyed by source site.
-    got: FxHashMap<u32, slice_nfsproto::ByteBuf>,
-    n: u32,
-    k: u32,
-    /// The recovering site's shard index within the stripe.
-    target_idx: u32,
+    /// Planned sources `(site, shard index, object offset of the
+    /// window)`; attempts rotate over them.
+    eligible: Vec<(u32, u32, u64)>,
+    /// `(n, k, target shard index)` of a coded stripe; `None` for a
+    /// mirror copy.
+    code: Option<(u32, u32, u32)>,
+    /// How far the current attempt's legs are rotated over `eligible`.
+    rotation: u32,
+    /// Windows gathered this attempt: `(source site, shard index, bytes)`.
+    got: Vec<(u32, u32, slice_nfsproto::ByteBuf)>,
+}
+
+impl Gather {
+    fn need(&self) -> usize {
+        self.code.map_or(1, |(_, k, _)| k as usize)
+    }
+
+    /// The `need` legs the current attempt reads. Only their windows are
+    /// taken, so every window of a decode comes from one attempt.
+    fn legs(&self) -> impl Iterator<Item = (u32, u32, u64)> + '_ {
+        let at = self.rotation as usize;
+        (0..self.need()).map(move |i| self.eligible[(at + i) % self.eligible.len()])
+    }
+
+    /// The bytes the target applies once every window is in: a mirror's
+    /// one window as read, or a coded stripe's decoded target shard.
+    /// `None` only if the decode fails.
+    fn finish(mut self) -> Option<slice_nfsproto::ByteBuf> {
+        let Some((n, k, target_idx)) = self.code else {
+            return self.got.pop().map(|(_, _, data)| data);
+        };
+        // Short reads are holes: pad to the window — zeros are exactly
+        // what the code sees for never-written bytes.
+        let windows: Vec<(u32, Vec<u8>)> = self
+            .got
+            .iter()
+            .map(|(_, idx, data)| {
+                let mut bytes = data.to_vec();
+                bytes.resize(self.range.len as usize, 0);
+                (*idx, bytes)
+            })
+            .collect();
+        let mut slots: Vec<Option<&[u8]>> = vec![None; n as usize];
+        for (idx, bytes) in &windows {
+            slots[*idx as usize] = Some(bytes);
+        }
+        Codec::new(n as usize, k as usize)
+            .reconstruct_shard(&slots, target_idx as usize)
+            .map(Into::into)
+    }
 }
 
 #[derive(Debug, Clone)]
-#[allow(clippy::enum_variant_names)]
 enum ResyncStage {
-    /// Waiting for the surviving mirror to return the bytes.
-    AwaitData(DirtyRange),
-    /// Waiting for k survivor shard windows of a coded stripe; decoding
-    /// them rebuilds the recovering site's shard (data or parity).
-    AwaitShards(ShardRebuild),
-    /// Waiting for the recovering site to make the bytes durable. The
-    /// stash is a shared window: retransmitting the apply leg clones a
-    /// refcount, not the payload.
-    AwaitApply(DirtyRange, slice_nfsproto::ByteBuf),
+    /// Gathering the source windows.
+    Gather(Gather),
+    /// Waiting for the target to make the bytes durable. The stash is a
+    /// shared window: retransmitting the apply leg clones a refcount, not
+    /// the payload.
+    Apply(DirtyRange, slice_nfsproto::ByteBuf),
 }
 
 #[derive(Debug, Clone)]
@@ -507,10 +557,6 @@ pub struct Coordinator {
     pins: FxHashMap<u64, std::collections::BTreeMap<u64, (u64, Vec<u32>)>>,
     /// In-flight planned drains, keyed by draining site.
     drains: FxHashMap<u32, DrainInfo>,
-    /// Migration range id -> draining site whose retirement waits on it.
-    drain_waiting: FxHashMap<u64, u32>,
-    /// Ids of all outstanding migration ranges (widen + join + drain).
-    migration_ranges: std::collections::BTreeSet<u64>,
     /// Bytes copied by completed migration ranges.
     migrated_bytes: u64,
     /// Completed drains: `(site, started, retired, bytes migrated)`.
@@ -542,8 +588,6 @@ impl Coordinator {
             initial_state: vec![SiteState::Active; storage_sites as usize],
             pins: FxHashMap::default(),
             drains: FxHashMap::default(),
-            drain_waiting: FxHashMap::default(),
-            migration_ranges: std::collections::BTreeSet::new(),
             migrated_bytes: 0,
             reconf_history: Vec::new(),
         }
@@ -592,7 +636,16 @@ impl Coordinator {
 
     /// Outstanding migration ranges (widen + rebalance + drain copies).
     pub fn migrations_pending(&self) -> usize {
-        self.migration_ranges.len()
+        self.owed_migrations(|_| true)
+    }
+
+    /// Outstanding migration ranges whose drain origin passes `keep`.
+    fn owed_migrations(&self, keep: impl Fn(Option<u32>) -> bool) -> usize {
+        self.dirty_log
+            .values()
+            .flatten()
+            .filter(|r| matches!(r.cause, CopyCause::Migration { origin } if keep(origin)))
+            .count()
     }
 
     /// Bytes copied by completed migration ranges.
@@ -801,28 +854,7 @@ impl Coordinator {
                 kind,
                 participants,
             } => {
-                let id = self.next_intent;
-                self.next_intent += 1;
-                let durable = self.wal.append(
-                    now,
-                    IntentRecord {
-                        id,
-                        kind: kind.clone(),
-                        participants: participants.clone(),
-                        is_completion: false,
-                    },
-                    64,
-                );
-                self.pending.insert(
-                    id,
-                    PendingIntent {
-                        kind,
-                        participants,
-                        logged_at: now,
-                        probe_results: FxHashMap::default(),
-                        last_probe: None,
-                    },
-                );
+                let (id, durable) = self.open_intent(now, kind, participants);
                 vec![CoordAction::Reply {
                     to: requester,
                     reply: CoordReply::IntentAck { op_id, intent: id },
@@ -833,16 +865,7 @@ impl Coordinator {
                 if let Some(p) = self.pending.remove(&intent) {
                     // Completion records are logged asynchronously; their
                     // durability does not gate anything.
-                    self.wal.append(
-                        now,
-                        IntentRecord {
-                            id: intent,
-                            kind: p.kind,
-                            participants: p.participants,
-                            is_completion: true,
-                        },
-                        32,
-                    );
+                    self.log(now, intent, p.kind, p.participants, true);
                     self.resolved.push((intent, IntentOutcome::Completed));
                 }
                 vec![]
@@ -909,11 +932,14 @@ impl Coordinator {
                 }]
             }
             CoordMsg::RemoveFile { req_id, file } => {
-                self.fanout(now, requester, req_id, file, true, None)
+                self.fanout(now, requester, req_id, IntentKind::Remove { obj: file })
             }
-            CoordMsg::TruncateFile { req_id, file, size } => {
-                self.fanout(now, requester, req_id, file, false, Some(size))
-            }
+            CoordMsg::TruncateFile { req_id, file, size } => self.fanout(
+                now,
+                requester,
+                req_id,
+                IntentKind::Truncate { obj: file, size },
+            ),
             CoordMsg::MarkDirty {
                 op_id,
                 obj,
@@ -949,33 +975,8 @@ impl Coordinator {
                         vec![(offset, len, sources.clone())]
                     };
                     for (w_off, w_len, srcs) in windows {
-                        let id = self.next_intent;
-                        self.next_intent += 1;
-                        durable = self.wal.append(
-                            now,
-                            IntentRecord {
-                                id,
-                                kind: IntentKind::DirtyRange {
-                                    obj,
-                                    offset: w_off,
-                                    len: w_len,
-                                    sources: srcs.clone(),
-                                },
-                                participants: vec![site],
-                                is_completion: false,
-                            },
-                            64,
-                        );
-                        self.dirty_log.entry(site).or_default().push(DirtyRange {
-                            id,
-                            obj,
-                            offset: w_off,
-                            len: w_len,
-                            sources: srcs,
-                        });
-                        // The site is dirty again: any shelved resync
-                        // must restart once the node is back.
-                        self.gave_up.remove(&site);
+                        durable =
+                            self.owe_copy(now, site, obj, w_off, w_len, srcs, CopyCause::Repair);
                     }
                 }
                 self.marks_acked.insert(op_id, durable);
@@ -1008,6 +1009,54 @@ impl Coordinator {
                 }]
             }
         }
+    }
+
+    /// Allocates the next intention / record id.
+    fn next_id(&mut self) -> u64 {
+        let id = self.next_intent;
+        self.next_intent += 1;
+        id
+    }
+
+    /// Appends one record to the WAL — 64 bytes for an intention, 32 for
+    /// a completion — and returns when it is durable.
+    fn log(
+        &mut self,
+        now: SimTime,
+        id: u64,
+        kind: IntentKind,
+        participants: Vec<u32>,
+        is_completion: bool,
+    ) -> SimTime {
+        let size = if is_completion { 32 } else { 64 };
+        let record = IntentRecord {
+            id,
+            kind,
+            participants,
+            is_completion,
+        };
+        self.wal.append(now, record, size)
+    }
+
+    /// Logs a multisite intention and opens it (probed if no completion
+    /// arrives in time); returns its id and when it is durable.
+    fn open_intent(
+        &mut self,
+        now: SimTime,
+        kind: IntentKind,
+        participants: Vec<u32>,
+    ) -> (u64, SimTime) {
+        let id = self.next_id();
+        let durable = self.log(now, id, kind.clone(), participants.clone(), false);
+        let intent = PendingIntent {
+            kind,
+            participants,
+            logged_at: now,
+            probe_results: FxHashMap::default(),
+            last_probe: None,
+        };
+        self.pending.insert(id, intent);
+        (id, durable)
     }
 
     fn site_is_dirty(&self, site: u32) -> bool {
@@ -1095,50 +1144,46 @@ impl Coordinator {
         }
         let data_sites: Vec<u32> = sites[..k as usize].to_vec();
         for p in k..n {
-            let site = sites[p as usize];
             let offset = layout.shard_obj_offset(stripe, p, 0);
-            let len = layout.shard_size();
-            let id = self.next_intent;
-            self.next_intent += 1;
-            self.wal.append(
+            self.owe_copy(
                 now,
-                IntentRecord {
-                    id,
-                    kind: IntentKind::DirtyRange {
-                        obj: file,
-                        offset,
-                        len,
-                        sources: data_sites.clone(),
-                    },
-                    participants: vec![site],
-                    is_completion: false,
-                },
-                64,
-            );
-            self.dirty_log.entry(site).or_default().push(DirtyRange {
-                id,
-                obj: file,
+                sites[p as usize],
+                file,
                 offset,
-                len,
-                sources: data_sites.clone(),
-            });
-            self.gave_up.remove(&site);
+                layout.shard_size(),
+                data_sites.clone(),
+                CopyCause::Repair,
+            );
         }
     }
 
-    /// Plans a coded rebuild of `range` for recovering site `target`:
-    /// resolves the stripe geometry and picks k live source shards,
-    /// rotated by `rotation` so retries route around a dead source.
-    /// `None` means the range cannot be rebuilt (the site left the
-    /// stripe, or too few sources survive) and should be drained.
-    fn shard_rebuild(
-        &mut self,
-        target: u32,
-        range: &DirtyRange,
-        rotation: u32,
-    ) -> Option<ShardRebuild> {
-        let Placement::Coded { n, k } = self.placement_of(range.obj) else {
+    /// Plans the copy of `range` to `target`: the source windows to
+    /// gather and, for a coded stripe, the decode. A mirror copy reads
+    /// the live replicas of the current block map; a coded copy reads
+    /// the same shard position from k of the stripe's other sites.
+    /// `None` means nothing can be copied (no source survives, the site
+    /// left the stripe, or fewer than k shards survive) and the range
+    /// should be drained rather than stall forever.
+    fn plan_copy(&mut self, target: u32, range: &DirtyRange) -> Option<Gather> {
+        if range.sources.is_empty() {
             return None;
+        }
+        let Placement::Coded { n, k } = self.placement_of(range.obj) else {
+            // Re-derive the sources from the current block map: a
+            // rebalance between the mark and this copy can move the live
+            // replicas.
+            let eligible = self
+                .map_sources(target, range)
+                .into_iter()
+                .map(|s| (s, 0, range.offset))
+                .collect();
+            return Some(Gather {
+                range: range.clone(),
+                eligible,
+                code: None,
+                rotation: 0,
+                got: Vec::new(),
+            });
         };
         let layout = CodedLayout::new(n, k, self.stripe_unit);
         let stripe = range.offset / self.stripe_unit;
@@ -1150,132 +1195,82 @@ impl Coordinator {
         if pos + range.len > layout.shard_size() {
             return None;
         }
-        let eligible: Vec<(u32, u32)> = sites
+        let eligible: Vec<(u32, u32, u64)> = sites
             .iter()
             .enumerate()
             .filter(|&(i, &s)| i as u32 != target_idx && range.sources.contains(&s))
-            .map(|(i, &s)| (s, i as u32))
+            .map(|(i, &s)| (s, i as u32, layout.shard_obj_offset(stripe, i as u32, pos)))
             .collect();
         if eligible.len() < k as usize {
             return None;
         }
-        let legs = (0..k as usize)
-            .map(|i| {
-                let (site, idx) = eligible[(rotation as usize + i) % eligible.len()];
-                (site, idx, layout.shard_obj_offset(stripe, idx, pos))
-            })
-            .collect();
-        Some(ShardRebuild {
+        Some(Gather {
             range: range.clone(),
-            legs,
-            got: FxHashMap::default(),
-            n,
-            k,
-            target_idx,
+            eligible,
+            code: Some((n, k, target_idx)),
+            rotation: 0,
+            got: Vec::new(),
         })
     }
 
-    /// Logs one migration range and queues it on the target's dirty log
-    /// (the copy rides the ordinary resync path). Returns the record id.
+    /// Logs a copy owed to `site` and queues it on the site's dirty log,
+    /// un-shelving the site's resync (it is dirty again, so a shelved job
+    /// must restart once the node is back). Returns when the record is
+    /// durable.
     #[allow(clippy::too_many_arguments)]
-    fn queue_migration(
+    fn owe_copy(
         &mut self,
         now: SimTime,
-        target: u32,
+        site: u32,
         obj: u64,
         offset: u64,
         len: u64,
         sources: Vec<u32>,
-        origin: u32,
-    ) -> u64 {
-        let id = self.next_intent;
-        self.next_intent += 1;
-        self.wal.append(
-            now,
-            IntentRecord {
-                id,
-                kind: IntentKind::Migration {
-                    obj,
-                    offset,
-                    len,
-                    sources: sources.clone(),
-                    origin,
-                },
-                participants: vec![target],
-                is_completion: false,
-            },
-            64,
-        );
-        self.dirty_log.entry(target).or_default().push(DirtyRange {
-            id,
+        cause: CopyCause,
+    ) -> SimTime {
+        let range = DirtyRange {
+            id: self.next_id(),
             obj,
             offset,
             len,
             sources,
-        });
-        self.migration_ranges.insert(id);
-        if origin != NO_ORIGIN {
-            self.drain_waiting.insert(id, origin);
-        }
-        self.gave_up.remove(&target);
-        id
+            cause,
+        };
+        let durable = self.log(now, range.id, range.kind(), vec![site], false);
+        self.dirty_log.entry(site).or_default().push(range);
+        self.gave_up.remove(&site);
+        durable
     }
 
     /// Durably pins `file`'s `block` entry to `sites`, completing any
     /// previous pin of the same block so replay keeps only the newest.
     fn pin_entry(&mut self, now: SimTime, file: u64, block: u64, sites: Vec<u32>) {
-        let id = self.next_intent;
-        self.next_intent += 1;
+        let id = self.next_id();
         if let Some((old_id, old_sites)) = self
             .pins
             .entry(file)
             .or_default()
             .insert(block, (id, sites.clone()))
         {
-            self.wal.append(
-                now,
-                IntentRecord {
-                    id: old_id,
-                    kind: IntentKind::MapPin {
-                        file,
-                        block,
-                        sites: old_sites,
-                    },
-                    participants: vec![],
-                    is_completion: true,
-                },
-                32,
-            );
+            let old = IntentKind::MapPin {
+                file,
+                block,
+                sites: old_sites,
+            };
+            self.log(now, old_id, old, vec![], true);
         }
-        self.wal.append(
-            now,
-            IntentRecord {
-                id,
-                kind: IntentKind::MapPin { file, block, sites },
-                participants: vec![],
-                is_completion: false,
-            },
-            64,
-        );
+        let pin = IntentKind::MapPin { file, block, sites };
+        self.log(now, id, pin, vec![], false);
     }
 
     fn log_site_change(&mut self, now: SimTime, site: u32, state: SiteState, objs: Vec<u64>) {
-        let id = self.next_intent;
-        self.next_intent += 1;
-        self.wal.append(
-            now,
-            IntentRecord {
-                id,
-                kind: IntentKind::SiteChange {
-                    site,
-                    state: state.to_u8(),
-                    objs,
-                },
-                participants: vec![],
-                is_completion: false,
-            },
-            64,
-        );
+        let id = self.next_id();
+        let kind = IntentKind::SiteChange {
+            site,
+            state: state.to_u8(),
+            objs,
+        };
+        self.log(now, id, kind, vec![], false);
         self.site_state[site as usize] = state;
     }
 
@@ -1341,7 +1336,8 @@ impl Coordinator {
             if let Some((_, map)) = self.maps.get_mut(&file) {
                 map.insert(block, sites);
             }
-            self.queue_migration(now, target, file, block * unit, unit, old, NO_ORIGIN);
+            let cause = CopyCause::Migration { origin: None };
+            self.owe_copy(now, target, file, block * unit, unit, old, cause);
             queued += 1;
         }
         queued
@@ -1403,7 +1399,8 @@ impl Coordinator {
                 if let Some((_, map)) = self.maps.get_mut(&file) {
                     map.insert(block, sites);
                 }
-                self.queue_migration(now, site, file, block * unit, unit, old, NO_ORIGIN);
+                let cause = CopyCause::Migration { origin: None };
+                self.owe_copy(now, site, file, block * unit, unit, old, cause);
                 queued += 1;
             }
         }
@@ -1494,7 +1491,8 @@ impl Coordinator {
             let sources: Vec<u32> = std::iter::once(site)
                 .chain(old.iter().copied().filter(|&s| s != site))
                 .collect();
-            self.queue_migration(now, replacement, file, block * unit, unit, sources, site);
+            let cause = CopyCause::Migration { origin: Some(site) };
+            self.owe_copy(now, replacement, file, block * unit, unit, sources, cause);
             queued += 1;
         }
         self.drains.get_mut(&site).expect("just inserted").pending = queued;
@@ -1531,23 +1529,7 @@ impl Coordinator {
         for r in self.dirty_log.remove(&site).unwrap_or_default() {
             // Ranges still queued *for* the retired site are moot; complete
             // them durably so they cannot replay.
-            self.migration_ranges.remove(&r.id);
-            self.drain_waiting.remove(&r.id);
-            self.wal.append(
-                now,
-                IntentRecord {
-                    id: r.id,
-                    kind: IntentKind::DirtyRange {
-                        obj: r.obj,
-                        offset: r.offset,
-                        len: r.len,
-                        sources: r.sources.clone(),
-                    },
-                    participants: vec![site],
-                    is_completion: true,
-                },
-                32,
-            );
+            self.log(now, r.id, r.kind(), vec![site], true);
         }
         self.resync.remove(&site);
         self.gave_up.remove(&site);
@@ -1596,17 +1578,20 @@ impl Coordinator {
         }
     }
 
+    /// Logs a remove or truncate intention and fans it out to every
+    /// site that may hold the file's data.
     fn fanout(
         &mut self,
         now: SimTime,
         requester: u64,
         req_id: u64,
-        file: u64,
-        is_remove: bool,
-        size: Option<u64>,
+        kind: IntentKind,
     ) -> Vec<CoordAction> {
-        let id = self.next_intent;
-        self.next_intent += 1;
+        let (file, is_remove) = match kind {
+            IntentKind::Remove { obj } => (obj, true),
+            IntentKind::Truncate { obj, .. } => (obj, false),
+            _ => unreachable!("only removes and truncates fan out"),
+        };
         // Standby sites never held data and retired sites are gone; a
         // fan-out waiting on either would wedge for nothing.
         let participants: Vec<u32> = (0..self.storage_sites)
@@ -1622,47 +1607,13 @@ impl Coordinator {
             // coordinator must not resurrect the map of a removed file).
             if let Some(pinned) = self.pins.remove(&file) {
                 for (block, (pin_id, sites)) in pinned {
-                    self.wal.append(
-                        now,
-                        IntentRecord {
-                            id: pin_id,
-                            kind: IntentKind::MapPin { file, block, sites },
-                            participants: vec![],
-                            is_completion: true,
-                        },
-                        32,
-                    );
+                    let pin = IntentKind::MapPin { file, block, sites };
+                    self.log(now, pin_id, pin, vec![], true);
                 }
             }
         }
-        let kind = if is_remove {
-            IntentKind::Remove { obj: file }
-        } else {
-            IntentKind::Truncate {
-                obj: file,
-                size: size.unwrap_or(0),
-            }
-        };
-        self.wal.append(
-            now,
-            IntentRecord {
-                id,
-                kind: kind.clone(),
-                participants: participants.clone(),
-                is_completion: false,
-            },
-            64,
-        );
-        self.pending.insert(
-            id,
-            PendingIntent {
-                kind,
-                participants: participants.clone(),
-                logged_at: now,
-                probe_results: FxHashMap::default(),
-                last_probe: None,
-            },
-        );
+        let ctls = fanout_ctls(&kind, &participants);
+        let (id, _) = self.open_intent(now, kind, participants.clone());
         self.fanouts.insert(
             id,
             PendingFanout {
@@ -1674,20 +1625,7 @@ impl Coordinator {
             },
         );
         self.maps.remove(&file);
-        participants
-            .into_iter()
-            .map(|site| CoordAction::SendCtl {
-                site,
-                ctl: if is_remove {
-                    StorageCtl::Remove { obj: file }
-                } else {
-                    StorageCtl::Truncate {
-                        obj: file,
-                        size: size.unwrap_or(0),
-                    }
-                },
-            })
-            .collect()
+        ctls
     }
 
     /// Handles a control reply from storage site `site`.
@@ -1773,16 +1711,7 @@ impl Coordinator {
                         IntentOutcome::Repaired
                     };
                     self.resolved.push((intent, outcome));
-                    self.wal.append(
-                        now,
-                        IntentRecord {
-                            id: intent,
-                            kind: p.kind.clone(),
-                            participants: p.participants.clone(),
-                            is_completion: true,
-                        },
-                        32,
-                    );
+                    self.log(now, intent, p.kind.clone(), p.participants.clone(), true);
                     // A probed truncate that (partially) happened clips
                     // coded data shards: rebuild the boundary stripe's
                     // parity unless no site truncated at all.
@@ -1795,139 +1724,72 @@ impl Coordinator {
                     // (idempotent); writes are resolved by NFS V3
                     // uncommitted-write semantics.
                     if outcome == IntentOutcome::Repaired {
-                        match &p.kind {
-                            IntentKind::Remove { obj } => {
-                                return p
-                                    .participants
-                                    .iter()
-                                    .map(|&site| CoordAction::SendCtl {
-                                        site,
-                                        ctl: StorageCtl::Remove { obj: *obj },
-                                    })
-                                    .collect();
-                            }
-                            IntentKind::Truncate { obj, size } => {
-                                return p
-                                    .participants
-                                    .iter()
-                                    .map(|&site| CoordAction::SendCtl {
-                                        site,
-                                        ctl: StorageCtl::Truncate {
-                                            obj: *obj,
-                                            size: *size,
-                                        },
-                                    })
-                                    .collect();
-                            }
-                            _ => {}
-                        }
+                        return fanout_ctls(&p.kind, &p.participants);
                     }
                 }
                 vec![]
             }
             StorageCtlReply::ResyncData { obj, offset, data } => {
-                // `site` is the surviving source; find the job awaiting
-                // these bytes (sorted for determinism).
+                // `site` is a source; find the job gathering this window
+                // (sorted for determinism).
                 let mut targets: Vec<u32> = self.resync.keys().copied().collect();
                 targets.sort_unstable();
-                for target in targets {
-                    let job = self.resync.get_mut(&target).expect("listed job");
-                    let hit = matches!(
-                        &job.stage,
-                        Some(ResyncStage::AwaitData(r))
-                            if r.obj == obj && r.offset == offset && r.sources.contains(&site)
-                    );
-                    if hit {
-                        let Some(ResyncStage::AwaitData(range)) = job.stage.take() else {
-                            unreachable!("matched above");
-                        };
-                        job.stage = Some(ResyncStage::AwaitApply(range, data.clone()));
+                let wanted = targets.into_iter().find_map(|target| {
+                    let Some(ResyncStage::Gather(g)) = &self.resync[&target].stage else {
+                        return None;
+                    };
+                    let idx = g.legs().find(|&(s, _, o)| s == site && o == offset)?.1;
+                    let fresh = g.range.obj == obj && g.got.iter().all(|&(s, ..)| s != site);
+                    fresh.then_some((target, idx))
+                });
+                let Some((target, idx)) = wanted else {
+                    return vec![];
+                };
+                let job = self.resync.get_mut(&target).expect("found above");
+                let Some(ResyncStage::Gather(mut g)) = job.stage.take() else {
+                    unreachable!("matched above");
+                };
+                g.got.push((site, idx, data));
+                if g.got.len() < g.need() {
+                    job.stage = Some(ResyncStage::Gather(g));
+                    return vec![];
+                }
+                let range = g.range.clone();
+                match g.finish() {
+                    Some(data) => {
+                        job.stage = Some(ResyncStage::Apply(range.clone(), data.clone()));
                         job.last_attempt = now;
                         job.attempts = 0;
-                        return vec![CoordAction::SendCtl {
+                        vec![CoordAction::SendCtl {
                             site: target,
-                            ctl: StorageCtl::ResyncWrite { obj, offset, data },
-                        }];
+                            ctl: StorageCtl::ResyncWrite {
+                                obj,
+                                offset: range.offset,
+                                data,
+                            },
+                        }]
+                    }
+                    None => {
+                        // Unreachable for a Cauchy code with k distinct
+                        // shards; drain defensively rather than wedge the
+                        // queue.
+                        let mut acts = self.complete_range(now, target, &range);
+                        acts.extend(self.advance_resync(now, target));
+                        acts
                     }
                 }
-                // Coded path: a rebuild gathering survivor shard windows
-                // may expect this `(site, offset)` leg.
-                let mut targets: Vec<u32> = self.resync.keys().copied().collect();
-                targets.sort_unstable();
-                for target in targets {
-                    let job = self.resync.get_mut(&target).expect("listed job");
-                    let hit = matches!(
-                        &job.stage,
-                        Some(ResyncStage::AwaitShards(sr))
-                            if sr.range.obj == obj && !sr.got.contains_key(&site)
-                                && sr.legs.iter().any(|&(s, _, o)| s == site && o == offset)
-                    );
-                    if !hit {
-                        continue;
-                    }
-                    let Some(ResyncStage::AwaitShards(mut sr)) = job.stage.take() else {
-                        unreachable!("matched above");
-                    };
-                    // Short reads are holes: pad to the window — zeros
-                    // are exactly what the code sees for never-written
-                    // bytes.
-                    let mut bytes = data.to_vec();
-                    bytes.resize(sr.range.len as usize, 0);
-                    sr.got.insert(site, bytes.into());
-                    if sr.got.len() < sr.k as usize {
-                        job.stage = Some(ResyncStage::AwaitShards(sr));
-                        return vec![];
-                    }
-                    // All k windows present: decode the stripe and
-                    // regenerate the recovering site's shard.
-                    let mut slots: Vec<Option<&[u8]>> = vec![None; sr.n as usize];
-                    for &(s, idx, _) in &sr.legs {
-                        if let Some(b) = sr.got.get(&s) {
-                            slots[idx as usize] = Some(&b[..]);
-                        }
-                    }
-                    let codec = Codec::new(sr.n as usize, sr.k as usize);
-                    let rebuilt = codec.reconstruct_shard(&slots, sr.target_idx as usize);
-                    let range = sr.range.clone();
-                    match rebuilt {
-                        Some(shard) => {
-                            let buf: slice_nfsproto::ByteBuf = shard.into();
-                            job.stage = Some(ResyncStage::AwaitApply(range.clone(), buf.clone()));
-                            job.last_attempt = now;
-                            job.attempts = 0;
-                            return vec![CoordAction::SendCtl {
-                                site: target,
-                                ctl: StorageCtl::ResyncWrite {
-                                    obj,
-                                    offset: range.offset,
-                                    data: buf,
-                                },
-                            }];
-                        }
-                        None => {
-                            // Unreachable for a Cauchy code with k
-                            // distinct shards; drain defensively rather
-                            // than wedge the queue.
-                            job.stage = None;
-                            let mut acts = self.complete_range(now, target, &range);
-                            acts.extend(self.advance_resync(now, target));
-                            return acts;
-                        }
-                    }
-                }
-                vec![]
             }
             StorageCtlReply::ResyncApplied { obj, offset } => {
                 // `site` is the recovering target.
                 let hit = matches!(
                     self.resync.get(&site).and_then(|j| j.stage.as_ref()),
-                    Some(ResyncStage::AwaitApply(r, _)) if r.obj == obj && r.offset == offset
+                    Some(ResyncStage::Apply(r, _)) if r.obj == obj && r.offset == offset
                 );
                 if !hit {
                     return vec![];
                 }
                 let job = self.resync.get_mut(&site).expect("checked");
-                let Some(ResyncStage::AwaitApply(range, _)) = job.stage.take() else {
+                let Some(ResyncStage::Apply(range, _)) = job.stage.take() else {
                     unreachable!("matched above");
                 };
                 job.bytes += range.len;
@@ -1938,81 +1800,56 @@ impl Coordinator {
         }
     }
 
-    /// Logs a durable completion for a resynced range, drops it from the
+    /// Logs a durable completion for a copied range, drops it from the
     /// dirty log, and settles any migration/drain bookkeeping riding on
     /// it (retiring the origin site when its last migration lands).
     fn complete_range(&mut self, now: SimTime, site: u32, range: &DirtyRange) -> Vec<CoordAction> {
-        self.wal.append(
-            now,
-            IntentRecord {
-                id: range.id,
-                kind: IntentKind::DirtyRange {
-                    obj: range.obj,
-                    offset: range.offset,
-                    len: range.len,
-                    sources: range.sources.clone(),
-                },
-                participants: vec![site],
-                is_completion: true,
-            },
-            32,
-        );
-        if let Some(v) = self.dirty_log.get_mut(&site) {
-            v.retain(|r| r.id != range.id);
-            if v.is_empty() {
-                self.dirty_log.remove(&site);
-            }
+        self.log(now, range.id, range.kind(), vec![site], true);
+        let Some(v) = self.dirty_log.get_mut(&site) else {
+            return vec![];
+        };
+        let Some(pos) = v.iter().position(|r| r.id == range.id) else {
+            return vec![];
+        };
+        let done = v.remove(pos);
+        if v.is_empty() {
+            self.dirty_log.remove(&site);
         }
-        let mut actions = Vec::new();
-        if self.migration_ranges.remove(&range.id) {
-            self.migrated_bytes += range.len;
-            if let Some(origin) = self.drain_waiting.remove(&range.id) {
-                if let Some(info) = self.drains.get_mut(&origin) {
-                    info.bytes += range.len;
-                    info.pending = info.pending.saturating_sub(1);
-                    if info.pending == 0 {
-                        actions = self.finish_drain(now, origin);
-                    }
-                }
-            }
+        let CopyCause::Migration { origin } = done.cause else {
+            return vec![];
+        };
+        self.migrated_bytes += done.len;
+        let Some(info) = origin.and_then(|o| self.drains.get_mut(&o)) else {
+            return vec![];
+        };
+        info.bytes += done.len;
+        info.pending = info.pending.saturating_sub(1);
+        if info.pending == 0 {
+            return self.finish_drain(now, origin.expect("drain origin"));
         }
-        actions
+        vec![]
     }
 
-    /// The current in-flight legs of `site`'s resync, for (re)sending.
+    /// The current in-flight legs of `site`'s resync, for (re)sending:
+    /// the attempt's source reads, or the apply.
     fn resync_leg(&self, site: u32) -> Vec<CoordAction> {
         let Some(job) = self.resync.get(&site) else {
             return vec![];
         };
         match job.stage.as_ref() {
             None => vec![],
-            Some(ResyncStage::AwaitData(r)) => {
-                // Rotate over sources on retries in case one died too.
-                let src = r.sources[job.attempts as usize % r.sources.len()];
-                vec![CoordAction::SendCtl {
+            Some(ResyncStage::Gather(g)) => g
+                .legs()
+                .map(|(src, _, offset)| CoordAction::SendCtl {
                     site: src,
                     ctl: StorageCtl::ResyncRead {
-                        obj: r.obj,
-                        offset: r.offset,
-                        len: r.len,
-                    },
-                }]
-            }
-            // Re-read only the survivor windows still missing.
-            Some(ResyncStage::AwaitShards(sr)) => sr
-                .legs
-                .iter()
-                .filter(|(s, _, _)| !sr.got.contains_key(s))
-                .map(|&(src, _, off)| CoordAction::SendCtl {
-                    site: src,
-                    ctl: StorageCtl::ResyncRead {
-                        obj: sr.range.obj,
-                        offset: off,
-                        len: sr.range.len,
+                        obj: g.range.obj,
+                        offset,
+                        len: g.range.len,
                     },
                 })
                 .collect(),
-            Some(ResyncStage::AwaitApply(r, data)) => vec![CoordAction::SendCtl {
+            Some(ResyncStage::Apply(r, data)) => vec![CoordAction::SendCtl {
                 site,
                 ctl: StorageCtl::ResyncWrite {
                     obj: r.obj,
@@ -2024,7 +1861,7 @@ impl Coordinator {
     }
 
     /// Pulls the next range off `site`'s resync queue (finishing the job
-    /// when it drains) and emits the read leg for it.
+    /// when it drains) and emits the read legs for it.
     fn advance_resync(&mut self, now: SimTime, site: u32) -> Vec<CoordAction> {
         let mut actions = Vec::new();
         loop {
@@ -2032,46 +1869,23 @@ impl Coordinator {
                 Some(job) => job.queue.pop_front(),
                 None => return actions,
             };
-            match popped {
-                Some(range) if range.sources.is_empty() => {
-                    // No live source recorded: nothing can be copied, so
-                    // drain the record rather than stall forever.
-                    actions.extend(self.complete_range(now, site, &range));
-                }
-                Some(range) => {
-                    let stage = if let Placement::Coded { .. } = self.placement_of(range.obj) {
-                        match self.shard_rebuild(site, &range, 0) {
-                            Some(sr) => ResyncStage::AwaitShards(sr),
-                            None => {
-                                // Unrebuildable (site left the stripe,
-                                // too few sources): drain rather than
-                                // stall forever.
-                                actions.extend(self.complete_range(now, site, &range));
-                                continue;
-                            }
-                        }
-                    } else {
-                        // Re-derive the source set from the current block
-                        // map: a rebalance between the mark and this copy
-                        // can move the live replicas.
-                        let sources = self.map_sources(site, &range);
-                        ResyncStage::AwaitData(DirtyRange { sources, ..range })
-                    };
-                    let job = self.resync.get_mut(&site).expect("present");
-                    job.stage = Some(stage);
-                    job.last_attempt = now;
-                    job.attempts = 0;
-                    actions.extend(self.resync_leg(site));
-                    return actions;
-                }
-                None => {
-                    let job = self.resync.remove(&site).expect("present");
-                    self.resync_history
-                        .push((site, job.started, now, job.bytes));
-                    self.resync_events.push((site, true, now, job.bytes));
-                    return actions;
-                }
-            }
+            let Some(range) = popped else {
+                let job = self.resync.remove(&site).expect("present");
+                self.resync_history
+                    .push((site, job.started, now, job.bytes));
+                self.resync_events.push((site, true, now, job.bytes));
+                return actions;
+            };
+            let Some(gather) = self.plan_copy(site, &range) else {
+                actions.extend(self.complete_range(now, site, &range));
+                continue;
+            };
+            let job = self.resync.get_mut(&site).expect("present");
+            job.stage = Some(ResyncStage::Gather(gather));
+            job.last_attempt = now;
+            job.attempts = 0;
+            actions.extend(self.resync_leg(site));
+            return actions;
         }
     }
 
@@ -2123,18 +1937,11 @@ impl Coordinator {
                 continue;
             }
             job.last_attempt = now;
-            // A coded rebuild retries with a rotated source set (one of
-            // the k chosen survivors may itself have died) and regathers
-            // every window.
-            let rotate = match &job.stage {
-                Some(ResyncStage::AwaitShards(sr)) => Some((sr.range.clone(), job.attempts)),
-                _ => None,
-            };
-            if let Some((range, attempts)) = rotate {
-                if let Some(fresh) = self.shard_rebuild(site, &range, attempts) {
-                    let job = self.resync.get_mut(&site).expect("listed job");
-                    job.stage = Some(ResyncStage::AwaitShards(fresh));
-                }
+            // The retry rotates to the next planned sources (one of them
+            // may have died) and regathers every window.
+            if let Some(ResyncStage::Gather(g)) = &mut job.stage {
+                g.rotation = job.attempts;
+                g.got.clear();
             }
             actions.extend(self.resync_leg(site));
         }
@@ -2176,8 +1983,6 @@ impl Coordinator {
         self.resync_events.clear();
         self.pins.clear();
         self.drains.clear();
-        self.drain_waiting.clear();
-        self.migration_ranges.clear();
         self.site_state = self.initial_state.clone();
         std::mem::replace(&mut self.wal, Wal::new(WalParams::default()))
     }
@@ -2205,34 +2010,16 @@ impl Coordinator {
         let mut records: Vec<(u64, IntentRecord)> = open.into_iter().collect();
         records.sort_unstable_by_key(|&(id, _)| id);
         for (id, r) in records {
-            // Dirty-range records rebuild the dirty-region log; they are
-            // resynced by the sweep, not probed like intentions.
-            if let IntentKind::DirtyRange {
-                obj,
-                offset,
-                len,
-                ref sources,
-            } = r.kind
-            {
-                let site = r.participants.first().copied().unwrap_or(0);
-                self.dirty_log.entry(site).or_default().push(DirtyRange {
-                    id,
-                    obj,
-                    offset,
-                    len,
-                    sources: sources.clone(),
-                });
-                continue;
-            }
-            // Reconfiguration records replay into soft state directly;
-            // none of them involve a storage-side intention to probe.
+            // Owed copies rebuild the dirty-region log (the sweep resyncs
+            // them) and reconfiguration records replay into soft state
+            // directly; none of them is a storage-side intention to probe.
             match r.kind {
-                IntentKind::Migration {
+                IntentKind::DirtyRange {
                     obj,
                     offset,
                     len,
                     ref sources,
-                    origin,
+                    cause,
                 } => {
                     let site = r.participants.first().copied().unwrap_or(0);
                     self.dirty_log.entry(site).or_default().push(DirtyRange {
@@ -2241,11 +2028,8 @@ impl Coordinator {
                         offset,
                         len,
                         sources: sources.clone(),
+                        cause,
                     });
-                    self.migration_ranges.insert(id);
-                    if origin != NO_ORIGIN {
-                        self.drain_waiting.insert(id, origin);
-                    }
                     continue;
                 }
                 IntentKind::MapPin {
@@ -2311,7 +2095,7 @@ impl Coordinator {
         let mut draining: Vec<u32> = self.drains.keys().copied().collect();
         draining.sort_unstable();
         for site in draining {
-            let pending = self.drain_waiting.values().filter(|&&o| o == site).count();
+            let pending = self.owed_migrations(|o| o == Some(site));
             self.drains.get_mut(&site).expect("listed drain").pending = pending;
             if pending == 0 {
                 let acts = self.finish_drain(now, site);
@@ -2322,12 +2106,49 @@ impl Coordinator {
     }
 }
 
+/// The control messages that carry out a remove or truncate intention
+/// on every participant (none for any other kind).
+fn fanout_ctls(kind: &IntentKind, participants: &[u32]) -> Vec<CoordAction> {
+    let ctl = match *kind {
+        IntentKind::Remove { obj } => StorageCtl::Remove { obj },
+        IntentKind::Truncate { obj, size } => StorageCtl::Truncate { obj, size },
+        _ => return vec![],
+    };
+    participants
+        .iter()
+        .map(|&site| CoordAction::SendCtl {
+            site,
+            ctl: ctl.clone(),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// A degraded-write mark: `missed` sites will lack
+    /// `[offset, offset+len)` of `obj`, which `sources` hold.
+    fn mark(
+        op_id: u64,
+        obj: u64,
+        offset: u64,
+        len: u64,
+        missed: &[u32],
+        sources: &[u32],
+    ) -> CoordMsg {
+        CoordMsg::MarkDirty {
+            op_id,
+            obj,
+            offset,
+            len,
+            missed: missed.to_vec(),
+            sources: sources.to_vec(),
+        }
     }
 
     fn begin(c: &mut Coordinator, now: SimTime) -> u64 {
@@ -2554,14 +2375,7 @@ mod tests {
     #[test]
     fn mark_dirty_acks_durably_and_idempotently() {
         let mut c = Coordinator::new(4);
-        let mark = CoordMsg::MarkDirty {
-            op_id: 99,
-            obj: 5,
-            offset: 0,
-            len: 65536,
-            missed: vec![2],
-            sources: vec![1],
-        };
+        let mark = mark(99, 5, 0, 65536, &[2], &[1]);
         let a = c.handle(t(0), 7, mark.clone());
         match &a[0] {
             CoordAction::Reply {
@@ -2587,18 +2401,7 @@ mod tests {
     #[test]
     fn resync_copies_ranges_and_drains_dirty_log() {
         let mut c = Coordinator::new(4);
-        c.handle(
-            t(0),
-            7,
-            CoordMsg::MarkDirty {
-                op_id: 1,
-                obj: 9,
-                offset: 0,
-                len: 100,
-                missed: vec![2],
-                sources: vec![1],
-            },
-        );
+        c.handle(t(0), 7, mark(1, 9, 0, 100, &[2], &[1]));
         assert!(c.needs_sweep());
         let acts = c.check_timeouts(t(1000));
         assert!(acts.iter().any(|a| matches!(
@@ -2647,18 +2450,7 @@ mod tests {
     #[test]
     fn dirty_ranges_survive_coordinator_crash() {
         let mut c = Coordinator::new(4);
-        c.handle(
-            t(0),
-            7,
-            CoordMsg::MarkDirty {
-                op_id: 1,
-                obj: 9,
-                offset: 0,
-                len: 100,
-                missed: vec![3],
-                sources: vec![0],
-            },
-        );
+        c.handle(t(0), 7, mark(1, 9, 0, 100, &[3], &[0]));
         let wal = c.crash();
         assert_eq!(c.dirty_ranges(), 0);
         let actions = c.recover(t(5000), wal, t(1000));
@@ -2702,18 +2494,7 @@ mod tests {
     #[test]
     fn dirty_site_probe_is_immediately_unclean() {
         let mut c = Coordinator::new(4);
-        c.handle(
-            t(0),
-            7,
-            CoordMsg::MarkDirty {
-                op_id: 1,
-                obj: 9,
-                offset: 0,
-                len: 100,
-                missed: vec![2],
-                sources: vec![1],
-            },
-        );
+        c.handle(t(0), 7, mark(1, 9, 0, 100, &[2], &[1]));
         let acts = c.handle(t(1), 8, CoordMsg::ProbeSite { site: 2 });
         assert!(matches!(
             &acts[0],
@@ -2768,18 +2549,8 @@ mod tests {
         let (mut c, sites) = coded_coord(10);
         // A full-stripe write missed by the second parity site: its
         // window is object [4, 8) (p=1), not the file range [0, 8).
-        c.handle(
-            t(0),
-            7,
-            CoordMsg::MarkDirty {
-                op_id: 1,
-                obj: 10,
-                offset: 0,
-                len: 8,
-                missed: vec![sites[3]],
-                sources: vec![sites[0], sites[1], sites[2]],
-            },
-        );
+        let missed = [sites[3]];
+        c.handle(t(0), 7, mark(1, 10, 0, 8, &missed, &sites[..3]));
         assert_eq!(
             c.dirty_log_dump(),
             vec![(sites[3], 10, 4, 4)],
@@ -2795,18 +2566,7 @@ mod tests {
         let d1 = [5u8, 6, 7, 8];
         let parity = codec.encode(&[&d0, &d1]);
         // The site holding data shard 0 missed a full-stripe write.
-        c.handle(
-            t(0),
-            7,
-            CoordMsg::MarkDirty {
-                op_id: 1,
-                obj: 10,
-                offset: 0,
-                len: 8,
-                missed: vec![sites[0]],
-                sources: vec![sites[1], sites[2], sites[3]],
-            },
-        );
+        c.handle(t(0), 7, mark(1, 10, 0, 8, &sites[..1], &sites[1..]));
         assert_eq!(c.dirty_log_dump(), vec![(sites[0], 10, 0, 4)]);
         // The sweep reads the same position window of k=2 survivors:
         // data shard 1 (object [4,8)) and parity p=0 (object [0,4)).
@@ -2867,6 +2627,176 @@ mod tests {
         );
         assert_eq!(c.dirty_ranges(), 0);
         assert_eq!(c.resync_bytes(), 4);
+    }
+
+    /// The `ResyncRead` legs among `acts`, as `(site, offset, len)`.
+    fn read_legs(acts: &[CoordAction]) -> Vec<(u32, u64, u64)> {
+        acts.iter()
+            .filter_map(|a| match a {
+                CoordAction::SendCtl {
+                    site,
+                    ctl: StorageCtl::ResyncRead { offset, len, .. },
+                } => Some((*site, *offset, *len)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn mirror_retry_moves_to_the_next_source() {
+        let mut c = Coordinator::new(4);
+        c.handle(t(0), 7, mark(1, 9, 0, 100, &[2], &[1, 3]));
+        assert_eq!(read_legs(&c.check_timeouts(t(1000))), vec![(1, 0, 100)]);
+        assert!(c.check_timeouts(t(2999)).is_empty(), "retry waits");
+        // The first source stays silent: the retry asks the second.
+        let retry = t(1000) + RESYNC_RETRY;
+        assert_eq!(read_legs(&c.check_timeouts(retry)), vec![(3, 0, 100)]);
+        // A short read (a hole past EOF) is applied as read, unpadded.
+        let acts = c.handle_ctl_reply(
+            retry,
+            3,
+            StorageCtlReply::ResyncData {
+                obj: 9,
+                offset: 0,
+                data: vec![5; 40].into(),
+            },
+        );
+        assert_eq!(
+            acts,
+            vec![CoordAction::SendCtl {
+                site: 2,
+                ctl: StorageCtl::ResyncWrite {
+                    obj: 9,
+                    offset: 0,
+                    data: vec![5; 40].into()
+                }
+            }]
+        );
+    }
+
+    #[test]
+    fn coded_retry_rotates_the_survivor_subset() {
+        let (mut c, sites) = coded_coord(10);
+        let codec = slice_ec::Codec::new(4, 2);
+        let d0 = [1u8, 2, 3, 4];
+        let d1 = [5u8, 6, 7, 8];
+        let parity = codec.encode(&[&d0, &d1]);
+        c.handle(t(0), 7, mark(1, 10, 0, 8, &sites[..1], &sites[1..]));
+        assert_eq!(
+            read_legs(&c.check_timeouts(t(1000))),
+            vec![(sites[1], 4, 4), (sites[2], 0, 4)]
+        );
+        // Parity 1 was planned but not asked: its window is not taken.
+        let unasked = StorageCtlReply::ResyncData {
+            obj: 10,
+            offset: 4,
+            data: parity[1].clone().into(),
+        };
+        assert!(c.handle_ctl_reply(t(1001), sites[3], unasked).is_empty());
+        // Data shard 1 answers, parity 0 stays silent.
+        let acts = c.handle_ctl_reply(
+            t(1001),
+            sites[1],
+            StorageCtlReply::ResyncData {
+                obj: 10,
+                offset: 4,
+                data: d1.to_vec().into(),
+            },
+        );
+        assert!(acts.is_empty());
+        // The retry rotates to the next k-subset and regathers it whole.
+        let retry = t(1000) + RESYNC_RETRY;
+        assert_eq!(
+            read_legs(&c.check_timeouts(retry)),
+            vec![(sites[2], 0, 4), (sites[3], 4, 4)]
+        );
+        c.handle_ctl_reply(
+            retry,
+            sites[2],
+            StorageCtlReply::ResyncData {
+                obj: 10,
+                offset: 0,
+                data: parity[0].clone().into(),
+            },
+        );
+        let acts = c.handle_ctl_reply(
+            retry,
+            sites[3],
+            StorageCtlReply::ResyncData {
+                obj: 10,
+                offset: 4,
+                data: parity[1].clone().into(),
+            },
+        );
+        assert_eq!(
+            acts,
+            vec![CoordAction::SendCtl {
+                site: sites[0],
+                ctl: StorageCtl::ResyncWrite {
+                    obj: 10,
+                    offset: 0,
+                    data: d0.to_vec().into()
+                }
+            }],
+            "two parity shards rebuild the data shard"
+        );
+    }
+
+    #[test]
+    fn exhausted_resync_shelves_until_kicked() {
+        let mut c = Coordinator::new(4);
+        c.handle(t(0), 7, mark(1, 9, 0, 100, &[2], &[1]));
+        let mut now = t(1000);
+        assert_eq!(read_legs(&c.check_timeouts(now)), vec![(1, 0, 100)]);
+        for _ in 0..RESYNC_MAX_ATTEMPTS {
+            now += RESYNC_RETRY;
+            assert_eq!(read_legs(&c.check_timeouts(now)), vec![(1, 0, 100)]);
+        }
+        now += RESYNC_RETRY;
+        assert!(c.check_timeouts(now).is_empty(), "the job shelves");
+        assert!(!c.needs_sweep(), "a shelved site lets the sweep idle");
+        assert_eq!(c.dirty_log_dump(), vec![(2, 9, 0, 100)], "range kept");
+        c.kick_resync(2);
+        assert!(c.needs_sweep());
+        assert_eq!(
+            read_legs(&c.check_timeouts(now + RESYNC_RETRY)),
+            vec![(1, 0, 100)],
+            "a kick restarts the job"
+        );
+    }
+
+    #[test]
+    fn unrequested_resync_data_is_ignored() {
+        let mut c = Coordinator::new(4);
+        c.handle(t(0), 7, mark(1, 9, 0, 100, &[2], &[1]));
+        c.check_timeouts(t(1000));
+        let data = |offset| StorageCtlReply::ResyncData {
+            obj: 9,
+            offset,
+            data: vec![7; 100].into(),
+        };
+        assert!(
+            c.handle_ctl_reply(t(1001), 3, data(0)).is_empty(),
+            "not a source"
+        );
+        assert!(
+            c.handle_ctl_reply(t(1001), 1, data(64)).is_empty(),
+            "wrong offset"
+        );
+        assert_eq!(c.dirty_ranges(), 1);
+        // The job still takes the window it asked for.
+        let acts = c.handle_ctl_reply(t(1002), 1, data(0));
+        assert!(matches!(
+            &acts[..],
+            [CoordAction::SendCtl {
+                site: 2,
+                ctl: StorageCtl::ResyncWrite {
+                    obj: 9,
+                    offset: 0,
+                    ..
+                }
+            }]
+        ));
     }
 
     #[test]
@@ -3019,21 +2949,8 @@ mod tests {
         assert_eq!(c.reconf_history().len(), 1);
         // Soft state for the retired site cannot re-accumulate: a stale
         // degraded-write mark against it is dropped.
-        c.handle(
-            t(90_000),
-            7,
-            CoordMsg::MarkDirty {
-                op_id: 50,
-                obj: 3,
-                offset: 0,
-                len: 100,
-                missed: vec![victim],
-                sources: vec![0, 1, 2, 3]
-                    .into_iter()
-                    .filter(|&s| s != victim)
-                    .collect(),
-            },
-        );
+        let live: Vec<u32> = (0..4).filter(|&s| s != victim).collect();
+        c.handle(t(90_000), 7, mark(50, 3, 0, 100, &[victim], &live));
         assert_eq!(c.dirty_ranges(), 0, "retired sites take no dirty ranges");
     }
 
@@ -3144,18 +3061,7 @@ mod tests {
         // A client with a pre-rebalance view marks the surviving replica
         // dirty against the *retired* source. The copy-back must derive
         // its source from the current map, not the recorded snapshot.
-        c.handle(
-            t(600_000),
-            7,
-            CoordMsg::MarkDirty {
-                op_id: 51,
-                obj: 3,
-                offset: 0,
-                len: 100,
-                missed: vec![keeper],
-                sources: vec![old_src],
-            },
-        );
+        c.handle(t(600_000), 7, mark(51, 3, 0, 100, &[keeper], &[old_src]));
         let acts = c.check_timeouts(t(610_000));
         assert!(
             acts.iter().any(|a| matches!(

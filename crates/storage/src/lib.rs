@@ -20,8 +20,8 @@ pub mod object;
 pub mod wal;
 
 pub use coord::{
-    CoordAction, CoordMsg, CoordReply, Coordinator, IntentKind, IntentOutcome, IntentRecord,
-    Placement,
+    CoordAction, CoordMsg, CoordReply, Coordinator, CopyCause, IntentKind, IntentOutcome,
+    IntentRecord, Placement,
 };
 pub use node::{
     StorageCtl, StorageCtlReply, StorageNode, StorageNodeConfig, CLUSTER_BYTES, PREFETCH_BYTES,
