@@ -415,7 +415,8 @@ pub enum CoordMsg {
     /// `[offset, offset+len)` of `obj`. The write may proceed only after
     /// the dirty ranges are durable (the ack gates the degraded fan-out).
     MarkDirty {
-        /// Caller-chosen correlation id (the write's xid).
+        /// Caller-chosen correlation id (the write's xid; unique per
+        /// requester only).
         op_id: u64,
         /// Object id.
         obj: u64,
@@ -540,9 +541,10 @@ pub struct Coordinator {
     gave_up: std::collections::BTreeSet<u32>,
     /// Requesters parked on a site probe, per site.
     site_probes: FxHashMap<u32, Vec<u64>>,
-    /// Durable times of acknowledged MarkDirty ops, for idempotent
-    /// re-acks of retransmissions.
-    marks_acked: FxHashMap<u64, SimTime>,
+    /// Durable times of acknowledged MarkDirty ops, keyed by
+    /// `(requester, op id)`, for idempotent re-acks of retransmissions.
+    /// The op id is the client's xid, unique only per requester.
+    marks_acked: FxHashMap<(u64, u64), SimTime>,
     /// Resync start/done events awaiting pickup by the hosting actor.
     resync_events: Vec<ResyncEvent>,
     /// Completed resyncs: `(site, started, finished, bytes)`.
@@ -950,7 +952,7 @@ impl Coordinator {
             } => {
                 // Retransmission of an already-durable mark: re-ack
                 // without duplicating the ranges.
-                if let Some(&at) = self.marks_acked.get(&op_id) {
+                if let Some(&at) = self.marks_acked.get(&(requester, op_id)) {
                     return vec![CoordAction::Reply {
                         to: requester,
                         reply: CoordReply::DirtyAck { op_id },
@@ -979,7 +981,7 @@ impl Coordinator {
                             self.owe_copy(now, site, obj, w_off, w_len, srcs, CopyCause::Repair);
                     }
                 }
-                self.marks_acked.insert(op_id, durable);
+                self.marks_acked.insert((requester, op_id), durable);
                 vec![CoordAction::Reply {
                     to: requester,
                     reply: CoordReply::DirtyAck { op_id },
@@ -2396,6 +2398,27 @@ mod tests {
             }
         ));
         assert_eq!(c.dirty_ranges(), 1);
+    }
+
+    #[test]
+    fn mark_dirty_dedups_per_requester() {
+        // Every client numbers its xids from 1, so two requesters can
+        // mark different writes under the same op id.
+        let mut c = Coordinator::new(4);
+        c.handle(t(0), 7, mark(1, 5, 0, 100, &[2], &[1]));
+        c.handle(t(1), 8, mark(1, 6, 0, 100, &[2], &[1]));
+        assert_eq!(c.dirty_log_dump(), vec![(2, 5, 0, 100), (2, 6, 0, 100)]);
+        // A real retransmission (same requester, same op id) re-acks only.
+        let again = c.handle(t(2), 8, mark(1, 6, 0, 100, &[2], &[1]));
+        assert!(matches!(
+            &again[..],
+            [CoordAction::Reply {
+                to: 8,
+                reply: CoordReply::DirtyAck { op_id: 1 },
+                ..
+            }]
+        ));
+        assert_eq!(c.dirty_ranges(), 2);
     }
 
     #[test]
