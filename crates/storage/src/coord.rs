@@ -273,7 +273,8 @@ impl DirtyRange {
 struct Gather {
     range: DirtyRange,
     /// Planned sources `(site, shard index, object offset of the
-    /// window)`; attempts rotate over them.
+    /// window)`; attempts rotate over them. A mirror copy lists its
+    /// replicas as shard 0 at the range's own offset.
     eligible: Vec<(u32, u32, u64)>,
     /// `(n, k, target shard index)` of a coded stripe; `None` for a
     /// mirror copy.
